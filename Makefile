@@ -14,9 +14,10 @@
 #   make router-smoke    # boot 2 shards + hfrouter, verify routing end to end
 #   make ingest-smoke    # upload a truncated corpus, stream the rest via events, diff vs hfanalyze
 #   make serve           # run the HTTP analysis service (hfserved)
+#   make perfbench       # one benchmark run (WORKLOAD, SEED, SECONDS, TRACE); see perfbench/METRICS.md
 #   make check           # tier1 + tier2
 
-.PHONY: tier1 tier2 check bench-baseline bench-parallel bench-index bench-smoke bench-columnar bench-serve bench-cache bench-load bench-load-router router-smoke ingest-smoke serve
+.PHONY: tier1 tier2 check bench-baseline bench-parallel bench-index bench-smoke bench-columnar bench-serve bench-cache bench-load bench-load-router router-smoke ingest-smoke serve perfbench
 
 # Benchmarks that claim parallel speedups must run at full machine width;
 # an inherited GOMAXPROCS=1 (containers, cgroup limits) silently turns
@@ -261,3 +262,15 @@ ingest-smoke:
 #   make serve SERVE_FLAGS="-addr :9090 -pprof -max-runs 4"
 serve:
 	go run ./cmd/hfserved $(SERVE_FLAGS)
+
+# One run of the repository benchmark (BENCHMARK.json): perfbench/run.sh
+# builds hfserved, hfrouter and perfbench under .bench_build/ and prints the
+# run record and result line. Workloads, metrics and how to read them are in
+# perfbench/METRICS.md, e.g.
+#   make perfbench WORKLOAD=serve-cold SEED=3 TRACE=1
+WORKLOAD ?= reproduce
+SEED     ?= 1
+SECONDS  ?= 20
+TRACE    ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/bits"
+	"sort"
 	"time"
 
 	"turnup/internal/chain"
@@ -293,24 +294,26 @@ func userValueStats(userValue map[forum.UserID]float64) (topDecileShare, meanPer
 	return stats.ShareOfTop(vals, 0.10), stats.Mean(vals)
 }
 
+// sortValueRows orders Table 5's activity rows by total value, largest
+// first. The rows come from map iteration, so tied totals fall back to the
+// category name to keep the order the same on every run.
 func sortValueRows(rows []ValueRow) {
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].TotalUSD() > rows[i].TotalUSD() {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
+	sort.Slice(rows, func(i, j int) bool {
+		if a, b := rows[i].TotalUSD(), rows[j].TotalUSD(); a != b {
+			return a > b
 		}
-	}
+		return rows[i].Category < rows[j].Category
+	})
 }
 
+// sortMethodRows is sortValueRows for the payment-method rows.
 func sortMethodRows(rows []MethodValueRow) {
-	for i := 0; i < len(rows); i++ {
-		for j := i + 1; j < len(rows); j++ {
-			if rows[j].TotalUSD() > rows[i].TotalUSD() {
-				rows[i], rows[j] = rows[j], rows[i]
-			}
+	sort.Slice(rows, func(i, j int) bool {
+		if a, b := rows[i].TotalUSD(), rows[j].TotalUSD(); a != b {
+			return a > b
 		}
-	}
+		return rows[i].Method < rows[j].Method
+	})
 }
 
 // ValueTrend is Figure 11: monthly USD value by contract type, by the

@@ -32,6 +32,10 @@ func SignificanceStars(p float64) string {
 	}
 }
 
+// maxCount bounds the counts the Poisson models accept: PoissonLogPMF
+// takes int(v), which is only defined below 2^63.
+const maxCount = 1 << 63
+
 // PoissonLogPMF returns log P(Y = k) for Y ~ Poisson(lambda).
 // For lambda <= 0 it returns 0 probability mass except at k == 0.
 func PoissonLogPMF(k int, lambda float64) float64 {
@@ -45,7 +49,15 @@ func PoissonLogPMF(k int, lambda float64) float64 {
 		return math.Inf(-1)
 	}
 	lg, _ := math.Lgamma(float64(k) + 1)
-	return float64(k)*math.Log(lambda) - lambda - lg
+	return poissonLogPMFFrom(float64(k), lambda, math.Log(lambda), lg)
+}
+
+// poissonLogPMFFrom is PoissonLogPMF for lambda > 0 from precomputed
+// parts: the count k as a float, log(lambda), and lgk = Lgamma(k+1). The
+// fast kernels hoist those parts out of their loops and call this, so
+// every caller evaluates the same float expression.
+func poissonLogPMFFrom(k, lambda, logLambda, lgk float64) float64 {
+	return k*logLambda - lambda - lgk
 }
 
 // PoissonPMF returns P(Y = k) for Y ~ Poisson(lambda).

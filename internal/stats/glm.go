@@ -46,6 +46,37 @@ func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 	if err := checkDesign(x, y, weights); err != nil {
 		return nil, err
 	}
+	fit, err := poissonIRLS(x, y, weights, countLgammas(y))
+	if err != nil {
+		return nil, err
+	}
+	return finishGLM(fit, x, weights, poissonLogLik(x, y, weights, fit.coef), poissonNullLik(y, weights))
+}
+
+// irlsFit is what an IRLS loop produces: the coefficients, plus the final
+// working weights and iteration record that only the public regressions
+// report (the ZIP M-step keeps just the coefficients).
+type irlsFit struct {
+	coef      []float64
+	w         []float64 // final working weights
+	iters     int
+	converged bool
+}
+
+// countLgammas returns Lgamma(k+1) for each response's count
+// k = int(round(y)): the response-only term of the Poisson log-PMF.
+func countLgammas(y []float64) []float64 {
+	lg := make([]float64, len(y))
+	for i, v := range y {
+		lg[i], _ = math.Lgamma(float64(int(math.Round(v))) + 1)
+	}
+	return lg
+}
+
+// poissonIRLS is PoissonRegression's IRLS loop; lgy is countLgammas(y).
+// mu = exp(eta) > 0, so the loop's likelihood can take PoissonLogPMF from
+// its parts with lgy in place of a per-row Lgamma call.
+func poissonIRLS(x *Matrix, y, weights, lgy []float64) (irlsFit, error) {
 	n, p := x.Rows, x.Cols
 	beta := make([]float64, p)
 	// Start from the log of the weighted mean for the intercept-ish scale.
@@ -54,9 +85,9 @@ func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 	w := make([]float64, n) // IRLS working weights
 	z := make([]float64, n) // working response
 	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
+	fit := irlsFit{w: w}
 	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
+		fit.iters = iter
 		lik := 0.0
 		for i := 0; i < n; i++ {
 			wi := priorWeight(weights, i)
@@ -69,14 +100,14 @@ func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 				z[i] = eta
 			}
 			if wi > 0 {
-				lik += wi * PoissonLogPMF(int(math.Round(y[i])), mu)
+				lik += wi * poissonLogPMFFrom(float64(int(math.Round(y[i]))), mu, math.Log(mu), lgy[i])
 			}
 		}
 		gram := XtWX(x, w)
 		rhs := XtWz(x, w, z)
 		next, err := SolveSPD(gram, rhs)
 		if err != nil {
-			return nil, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
+			return fit, fmt.Errorf("stats: Poisson IRLS step failed: %w", err)
 		}
 		delta := 0.0
 		for j := range beta {
@@ -84,19 +115,13 @@ func PoissonRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		}
 		beta = next
 		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
+			fit.converged = true
 			break
 		}
 		prevLik = lik
 	}
-	res.Coef = beta
-	res.LogLik = poissonLogLik(x, y, weights, beta)
-	if err := finishGLM(res, x, w, weights); err != nil {
-		return nil, err
-	}
-	res.NullLik = poissonNullLik(y, weights)
-	fillFitStats(res, p)
-	return res, nil
+	fit.coef = beta
+	return fit, nil
 }
 
 func poissonLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
@@ -138,14 +163,30 @@ func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 			return nil, errors.New("stats: logistic response outside [0,1]")
 		}
 	}
+	fit, err := logisticIRLS(x, y, weights)
+	if err != nil {
+		return nil, err
+	}
+	// Null model: intercept only, p = weighted mean of y.
+	pbar := weightedMean(y, weights)
+	null := 0.0
+	for i, yi := range y {
+		wi := priorWeight(weights, i)
+		null += wi * bernoulliLogLik(yi, pbar)
+	}
+	return finishGLM(fit, x, weights, logisticLogLik(x, y, weights, fit.coef), null)
+}
+
+// logisticIRLS is LogisticRegression's Newton loop.
+func logisticIRLS(x *Matrix, y, weights []float64) (irlsFit, error) {
 	n, p := x.Rows, x.Cols
 	beta := make([]float64, p)
 	w := make([]float64, n)
 	z := make([]float64, n)
 	prevLik := math.Inf(-1)
-	res := &GLMResult{N: effectiveN(weights, n)}
+	fit := irlsFit{w: w}
 	for iter := 1; iter <= glmMaxIter; iter++ {
-		res.Iters = iter
+		fit.iters = iter
 		lik := 0.0
 		for i := 0; i < n; i++ {
 			wi := priorWeight(weights, i)
@@ -165,7 +206,7 @@ func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		rhs := XtWz(x, w, z)
 		next, err := SolveSPD(gram, rhs)
 		if err != nil {
-			return nil, fmt.Errorf("stats: logistic Newton step failed: %w", err)
+			return fit, fmt.Errorf("stats: logistic Newton step failed: %w", err)
 		}
 		delta := 0.0
 		for j := range beta {
@@ -173,26 +214,13 @@ func LogisticRegression(x *Matrix, y, weights []float64) (*GLMResult, error) {
 		}
 		beta = next
 		if math.Abs(lik-prevLik) < glmTol*(math.Abs(lik)+1) && delta < 1e-7 {
-			res.Converged = true
+			fit.converged = true
 			break
 		}
 		prevLik = lik
 	}
-	res.Coef = beta
-	res.LogLik = logisticLogLik(x, y, weights, beta)
-	if err := finishGLM(res, x, w, weights); err != nil {
-		return nil, err
-	}
-	// Null model: intercept only, p = weighted mean of y.
-	pbar := weightedMean(y, weights)
-	null := 0.0
-	for i, yi := range y {
-		wi := priorWeight(weights, i)
-		null += wi * bernoulliLogLik(yi, pbar)
-	}
-	res.NullLik = null
-	fillFitStats(res, p)
-	return res, nil
+	fit.coef = beta
+	return fit, nil
 }
 
 func bernoulliLogLik(y, mu float64) float64 {
@@ -219,18 +247,27 @@ func logisticLogLik(x *Matrix, y, weights []float64, beta []float64) float64 {
 	return lik
 }
 
-// finishGLM computes standard errors from the final working-weight Gram
-// matrix (the observed information for canonical links).
-func finishGLM(res *GLMResult, x *Matrix, w, prior []float64) error {
-	info := XtWX(x, w)
+// finishGLM builds the public result from an IRLS fit: standard errors
+// from the final working-weight Gram matrix (the observed information for
+// canonical links), the likelihoods and the fit statistics.
+func finishGLM(fit irlsFit, x *Matrix, weights []float64, lik, nullLik float64) (*GLMResult, error) {
+	info := XtWX(x, fit.w)
 	cov, err := InvertSPD(info)
 	if err != nil {
-		return fmt.Errorf("stats: information matrix not invertible: %w", err)
+		return nil, fmt.Errorf("stats: information matrix not invertible: %w", err)
 	}
 	p := x.Cols
-	res.StdErr = make([]float64, p)
-	res.ZValues = make([]float64, p)
-	res.PValues = make([]float64, p)
+	res := &GLMResult{
+		Coef:      fit.coef,
+		StdErr:    make([]float64, p),
+		ZValues:   make([]float64, p),
+		PValues:   make([]float64, p),
+		LogLik:    lik,
+		NullLik:   nullLik,
+		N:         effectiveN(weights, x.Rows),
+		Iters:     fit.iters,
+		Converged: fit.converged,
+	}
 	for j := 0; j < p; j++ {
 		res.StdErr[j] = math.Sqrt(math.Max(cov.At(j, j), 0))
 		if res.StdErr[j] > 0 {
@@ -238,15 +275,12 @@ func finishGLM(res *GLMResult, x *Matrix, w, prior []float64) error {
 		}
 		res.PValues[j] = PValueTwoSided(res.ZValues[j])
 	}
-	return nil
-}
-
-func fillFitStats(res *GLMResult, p int) {
 	res.AIC = -2*res.LogLik + 2*float64(p)
 	res.BIC = -2*res.LogLik + float64(p)*math.Log(float64(max(res.N, 1)))
 	if res.NullLik != 0 {
 		res.McFadden = 1 - res.LogLik/res.NullLik
 	}
+	return res, nil
 }
 
 func checkDesign(x *Matrix, y, weights []float64) error {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -34,6 +35,12 @@ const (
 
 // FitLCA fits a K-class independent-Poisson mixture to data (N × D counts)
 // by EM with random-responsibility initialisation.
+//
+// The kernel computes bit for bit what a direct EM over every row and cell
+// computes (fitLCAReference in the tests keeps that version as the oracle)
+// while doing far less work: the E-step runs once per distinct row with
+// precomputed log-rates and per-cell lgamma constants, and the M-step skips
+// zero counts. DESIGN.md §3.9 states which sums keep their order and why.
 func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 	n := len(data)
 	if n == 0 {
@@ -48,8 +55,8 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 			return nil, fmt.Errorf("stats: ragged LCA data at row %d", i)
 		}
 		for j, v := range row {
-			if v < 0 {
-				return nil, fmt.Errorf("stats: negative count at (%d,%d)", i, j)
+			if !(v >= 0 && v < maxCount) {
+				return nil, fmt.Errorf("stats: LCA count at (%d,%d) must be finite and non-negative, got %g", i, j, v)
 			}
 		}
 	}
@@ -82,29 +89,47 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		weights[c] = 1 / float64(k)
 	}
 
-	post := make([][]float64, n)
-	for i := range post {
-		post[i] = make([]float64, k)
-	}
+	// A row's posterior depends only on its counts, so the E-step runs once
+	// per distinct row (pattern) and rows read their pattern's posterior.
+	rowOf, counts, lgc := lcaPatterns(data)
+	m := len(lgc) / d
+	post := make([]float64, m*k) // pattern × class responsibilities
+	lse := make([]float64, m)    // pattern log-likelihoods
+	logW := make([]float64, k)
+	logRate := make([]float64, k*d)
 	logp := make([]float64, k)
+	wsum := make([]float64, k)
+	num := make([]float64, d*k) // M-step numerators, dimension-major
 	prev := math.Inf(-1)
 	for iter := 1; iter <= lcaMaxIter; iter++ {
 		res.Iters = iter
-		// E-step in log space.
-		lik := 0.0
-		for i, row := range data {
+		// E-step in log space. Each cell is PoissonLogPMF(int(v), rate)
+		// from hoisted parts; rates are floored at lcaRateEps > 0, so its
+		// lambda <= 0 branch never runs.
+		for c := 0; c < k; c++ {
+			logW[c] = math.Log(weights[c])
+			for j, r := range rates[c] {
+				logRate[c*d+j] = math.Log(r)
+			}
+		}
+		for p := 0; p < m; p++ {
+			cnt, lg := counts[p*d:(p+1)*d], lgc[p*d:(p+1)*d]
 			for c := 0; c < k; c++ {
-				lp := math.Log(weights[c])
-				for j, v := range row {
-					lp += PoissonLogPMF(int(v), rates[c][j])
+				lp := logW[c]
+				lr, rc := logRate[c*d:(c+1)*d], rates[c]
+				for j, v := range cnt {
+					lp += poissonLogPMFFrom(v, rc[j], lr[j], lg[j])
 				}
 				logp[c] = lp
 			}
-			lse := logSumExp(logp)
-			lik += lse
-			for c := 0; c < k; c++ {
-				post[i][c] = math.Exp(logp[c] - lse)
+			lse[p] = logSumExp(logp)
+			for c, lp := range logp {
+				post[p*k+c] = math.Exp(lp - lse[p])
 			}
+		}
+		lik := 0.0
+		for _, p := range rowOf {
+			lik += lse[p]
 		}
 		if math.Abs(lik-prev) < lcaTol*(math.Abs(lik)+1) {
 			res.Converged = true
@@ -114,20 +139,31 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 		prev = lik
 		res.LogLik = lik
 
-		// M-step.
-		for c := 0; c < k; c++ {
-			wc := 0.0
-			for i := range data {
-				wc += post[i][c]
+		// M-step. Rows are the outer loop, so every accumulator still adds
+		// its terms in row order; a zero count adds +0 and is skipped.
+		clear(wsum)
+		clear(num)
+		for i, row := range data {
+			pp := post[rowOf[i]*k : (rowOf[i]+1)*k]
+			for c, pc := range pp {
+				wsum[c] += pc
 			}
-			weights[c] = wc / float64(n)
-			for j := 0; j < d; j++ {
-				num := 0.0
-				for i, row := range data {
-					num += post[i][c] * row[j]
+			for j, v := range row {
+				if v == 0 {
+					continue
 				}
-				if wc > 0 {
-					rates[c][j] = math.Max(num/wc, lcaRateEps)
+				nj := num[j*k : (j+1)*k]
+				for c, pc := range pp {
+					nj[c] += pc * v
+				}
+			}
+		}
+		for c := 0; c < k; c++ {
+			wc := wsum[c]
+			weights[c] = wc / float64(n)
+			if wc > 0 {
+				for j := 0; j < d; j++ {
+					rates[c][j] = math.Max(num[j*k+c]/wc, lcaRateEps)
 				}
 			}
 		}
@@ -135,13 +171,17 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 
 	res.Weights = weights
 	res.Rates = rates
-	res.Posterior = post
+	res.Posterior = make([][]float64, n)
 	res.Assignment = make([]int, n)
-	for i := range post {
-		best, bestP := 0, post[i][0]
+	flat := make([]float64, n*k)
+	for i, p := range rowOf {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
+		copy(row, post[p*k:(p+1)*k])
+		res.Posterior[i] = row
+		best, bestP := 0, row[0]
 		for c := 1; c < k; c++ {
-			if post[i][c] > bestP {
-				best, bestP = c, post[i][c]
+			if row[c] > bestP {
+				best, bestP = c, row[c]
 			}
 		}
 		res.Assignment[i] = best
@@ -150,6 +190,35 @@ func FitLCA(data [][]float64, k int, src *rng.Source) (*LCAResult, error) {
 	res.AIC = -2*res.LogLik + 2*params
 	res.BIC = -2*res.LogLik + params*math.Log(float64(n))
 	return res, nil
+}
+
+// lcaPatterns collapses rows with identical float64 bits into patterns.
+// rowOf[i] is row i's pattern; for pattern p and dimension j,
+// counts[p*d+j] is float64(int(v)) and lgc[p*d+j] is Lgamma of that plus
+// one: the count-only terms of PoissonLogPMF(int(v), ·).
+func lcaPatterns(data [][]float64) (rowOf []int, counts, lgc []float64) {
+	d := len(data[0])
+	rowOf = make([]int, len(data))
+	seen := make(map[string]int)
+	key := make([]byte, 8*d)
+	for i, row := range data {
+		for j, v := range row {
+			binary.LittleEndian.PutUint64(key[8*j:], math.Float64bits(v))
+		}
+		p, ok := seen[string(key)]
+		if !ok {
+			p = len(seen)
+			seen[string(key)] = p
+			for _, v := range row {
+				kf := float64(int(v))
+				lg, _ := math.Lgamma(kf + 1)
+				counts = append(counts, kf)
+				lgc = append(lgc, lg)
+			}
+		}
+		rowOf[i] = p
+	}
+	return rowOf, counts, lgc
 }
 
 func logSumExp(xs []float64) float64 {

@@ -105,6 +105,30 @@ func TestLCAErrors(t *testing.T) {
 	}
 }
 
+func TestLCARejectsNonFiniteCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"NaN", math.NaN()},
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"negative", -1},
+		{"beyond int range", 1 << 63},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := [][]float64{{1, 2}, {0, tc.v}, {3, 1}}
+			if _, err := FitLCA(data, 2, rng.New(1)); err == nil {
+				t.Errorf("count %v accepted", tc.v)
+			}
+		})
+	}
+	// The largest float below 2^63 still converts with int(v).
+	if _, err := FitLCA([][]float64{{1, 2}, {0, math.Nextafter(1<<63, 0)}}, 1, rng.New(1)); err != nil {
+		t.Errorf("count just below 2^63 rejected: %v", err)
+	}
+}
+
 func TestSelectLCAPrefersTrueK(t *testing.T) {
 	src := rng.New(431)
 	// Three very distinct classes; BIC should not pick fewer than 3 and has

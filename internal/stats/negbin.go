@@ -31,8 +31,8 @@ func NegBinRegression(x *Matrix, y []float64) (*NegBinResult, error) {
 		return nil, err
 	}
 	for _, v := range y {
-		if v < 0 || v != math.Trunc(v) {
-			return nil, fmt.Errorf("stats: NB response must be a non-negative integer, got %g", v)
+		if !(v >= 0 && v < maxCount) || v != math.Trunc(v) {
+			return nil, fmt.Errorf("stats: NB response must be a finite non-negative integer, got %g", v)
 		}
 	}
 	pois, err := PoissonRegression(x, y, nil)

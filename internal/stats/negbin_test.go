@@ -103,4 +103,7 @@ func TestNegBinRejectsBadInput(t *testing.T) {
 	if _, err := NegBinRegression(x, []float64{1, 2, 2.5}); err == nil {
 		t.Error("non-integer response accepted")
 	}
+	if _, err := NegBinRegression(x, []float64{1, 2, math.Inf(1)}); err == nil {
+		t.Error("+Inf response accepted")
+	}
 }

@@ -66,8 +66,8 @@ func ZIPRegression(countX *Matrix, y []float64, zeroX *Matrix, countNames, zeroN
 	n := len(y)
 	zeros := 0
 	for _, v := range y {
-		if v < 0 || v != math.Trunc(v) {
-			return nil, fmt.Errorf("stats: ZIP response must be a non-negative integer, got %g", v)
+		if !(v >= 0 && v < maxCount) || v != math.Trunc(v) {
+			return nil, fmt.Errorf("stats: ZIP response must be a finite non-negative integer, got %g", v)
 		}
 		if v == 0 {
 			zeros++
@@ -135,17 +135,22 @@ func newCoefBlock(names []string, coef, se []float64) *CoefBlock {
 }
 
 // zipEM runs the EM loop and returns beta (count), gamma (zero), the final
-// log-likelihood, iterations, and convergence flag.
+// log-likelihood, iterations, and convergence flag. The M-step runs the
+// regressions' IRLS loops directly: zipEM needs only their coefficients,
+// not the standard errors and likelihoods the public fits add.
 func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, lik float64, iters int, converged bool, err error) {
 	n := len(y)
+	// y holds integers, so Lgamma(y+1) is PoissonLogPMF's lgamma term for
+	// both the E-step and the count M-step; it never changes.
+	lgy := countLgammas(y)
 
 	// Initialise the count model from a plain Poisson fit and the zero
 	// model from the empirical excess-zero share.
-	pois, err := PoissonRegression(countX, y, nil)
+	pois, err := poissonIRLS(countX, y, nil, lgy)
 	if err != nil {
 		return nil, nil, 0, 0, false, fmt.Errorf("stats: ZIP init failed: %w", err)
 	}
-	beta = append([]float64(nil), pois.Coef...)
+	beta = pois.coef
 	gamma = make([]float64, zeroX.Cols)
 	zeroShare := 0.0
 	for _, v := range y {
@@ -175,7 +180,7 @@ func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, l
 				lik += math.Log(pz)
 			} else {
 				r[i] = 0
-				lik += math.Log1p(-pi) + PoissonLogPMF(int(y[i]), mu)
+				lik += math.Log1p(-pi) + poissonLogPMFFrom(y[i], mu, math.Log(mu), lgy[i])
 			}
 			wCount[i] = 1 - r[i]
 		}
@@ -187,16 +192,16 @@ func zipEM(countX *Matrix, y []float64, zeroX *Matrix) (beta, gamma []float64, l
 
 		// M-step: weighted Poisson for the count part, fractional-response
 		// logistic for the zero part.
-		pfit, perr := PoissonRegression(countX, y, wCount)
+		pfit, perr := poissonIRLS(countX, y, wCount, lgy)
 		if perr != nil {
 			return nil, nil, 0, iters, false, fmt.Errorf("stats: ZIP count M-step: %w", perr)
 		}
-		beta = pfit.Coef
-		lfit, lerr := LogisticRegression(zeroX, r, nil)
+		beta = pfit.coef
+		lfit, lerr := logisticIRLS(zeroX, r, nil)
 		if lerr != nil {
 			return nil, nil, 0, iters, false, fmt.Errorf("stats: ZIP zero M-step: %w", lerr)
 		}
-		gamma = lfit.Coef
+		gamma = lfit.coef
 	}
 	lik = zipLogLik(countX, y, zeroX, beta, gamma)
 	return beta, gamma, lik, iters, converged, nil

@@ -114,6 +114,28 @@ func TestZIPRejectsBadInput(t *testing.T) {
 	}
 }
 
+func TestZIPRejectsNonFiniteResponse(t *testing.T) {
+	x := NewMatrix(3, 1)
+	for i := 0; i < 3; i++ {
+		x.Set(i, 0, 1)
+	}
+	for _, tc := range []struct {
+		name string
+		v    float64
+	}{
+		{"+Inf", math.Inf(1)},
+		{"-Inf", math.Inf(-1)},
+		{"NaN", math.NaN()},
+		{"beyond int range", 1 << 63},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ZIPRegression(x, []float64{0, 1, tc.v}, x, []string{"a"}, []string{"a"}); err == nil {
+				t.Errorf("response %v accepted", tc.v)
+			}
+		})
+	}
+}
+
 func TestZIPOnPurePoissonData(t *testing.T) {
 	// With no zero inflation, the zero model should find a very negative
 	// intercept (pi → 0) and Vuong should NOT strongly favour ZIP.
